@@ -40,8 +40,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ParallelReplayConflict
-
 #: Fleets at or below this size keep a single shard — the paper-scale
 #: fast path, with no indexing arithmetic worth amortizing.
 _SINGLE_SHARD_MAX_HOSTS = 8
@@ -88,7 +86,7 @@ class ConsistencyDirectory:
     """Tracks block copies across hosts and performs invalidation."""
 
     __slots__ = ("n_hosts", "n_shards", "_shards", "_shard_mask", "_droppers",
-                 "invalidation_latency_ns", "traffic_hook", "conflict_watch")
+                 "invalidation_latency_ns", "traffic_hook")
 
     def __init__(self, n_hosts: int, n_shards: Optional[int] = None) -> None:
         self.n_hosts = n_hosts
@@ -117,14 +115,6 @@ class ConsistencyDirectory:
         #: messages to the victim's network segment (the §3.8 protocol
         #: traffic the paper leaves unmodeled).
         self.traffic_hook: Optional[Callable[[int, int], None]] = None
-        #: optional set of blocks *written by other replay groups* when
-        #: this directory serves one group of a sharded parallel replay
-        #: (:mod:`repro.engine.parallel`).  The moment a host here
-        #: caches a watched block the groups are provably coupled, so
-        #: ``note_copy`` raises ParallelReplayConflict and the parent
-        #: falls back to serial replay.  ``None`` (the default) is the
-        #: normal single-process directory with zero overhead.
-        self.conflict_watch: Optional[Set[int]] = None
 
     def register_host(self, host_id: int, dropper: Callable[[int], None]) -> None:
         """Register the callback that drops a block from a host's caches."""
@@ -134,8 +124,6 @@ class ConsistencyDirectory:
 
     def note_copy(self, host_id: int, block: int) -> None:
         """A host now holds a copy of ``block`` (in any tier)."""
-        if self.conflict_watch is not None and block in self.conflict_watch:
-            raise ParallelReplayConflict(host_id, block)
         holders = self._shards[block & self._shard_mask].holders
         bit = 1 << host_id
         mask = holders.get(block)

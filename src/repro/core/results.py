@@ -2,161 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro._units import SECOND
 from repro.core.metrics import LatencyStat, TimelineStat
-from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs is optional)
     from repro.obs.breakdown import LatencyBreakdown
-
-
-#: Canonical merge rule per :class:`SimulationResults` field.  ``merge``
-#: walks ``dataclasses.fields`` and refuses to combine two results when
-#: any field is missing here, so a new counter cannot be dropped
-#: silently — adding a field without choosing its merge semantics is a
-#: loud :class:`~repro.errors.SimulationError`, not a wrong number.
-#:
-#: Rules (all exact: anything that cannot be reconstructed exactly from
-#: the two operands must either be equal on both sides or be supplied
-#: via ``overrides`` by a caller that knows the true combined value —
-#: the parallel replay engine does exactly that):
-#:
-#: ``same``             both operands must already be equal
-#: ``latency``          fold both :class:`LatencyStat`\ s (integer sums)
-#: ``sum``              integer/float addition
-#: ``max``              maximum (clock endpoints)
-#: ``tier_stats``       sum raw per-tier counters, recompute hit_rate
-#: ``per_host``         elementwise row sums; a host active (nonzero
-#:                      block counts) on *both* sides cannot be merged
-#:                      exactly (rows carry means) and raises
-#: ``optional_sum_dict`` ``None``+``None`` is ``None``; otherwise sum
-#:                      the dicts key-wise, treating ``None`` as empty
-#: ``timeline``         ``None``+``None`` is ``None``; otherwise sum
-#:                      per-bucket sums/counts (bucket widths must match)
-#: ``none_only``        only ``None``+``None`` merges; anything else
-#:                      raises (per-request breakdowns are not mergeable)
-#: ``override_or_equal`` derived ratios/means: the caller must supply
-#:                      the exact combined value in ``overrides`` unless
-#:                      both operands agree
-_MERGE_RULES: Dict[str, str] = {
-    "config_description": "same",
-    "read_latency": "latency",
-    "write_latency": "latency",
-    "read_request_latency": "latency",
-    "write_request_latency": "latency",
-    "simulated_ns": "max",
-    "measured_ns": "max",
-    "records_replayed": "sum",
-    "blocks_read": "sum",
-    "blocks_written": "sum",
-    "tier_stats": "tier_stats",
-    "filer_fast_reads": "sum",
-    "filer_slow_reads": "sum",
-    "filer_writes": "sum",
-    "flash_blocks_read": "sum",
-    "flash_blocks_written": "sum",
-    "flash_write_amplification": "override_or_equal",
-    "flash_program_bytes": "sum",
-    "flash_erase_count": "sum",
-    "flash_write_amp": "override_or_equal",
-    "device_lifetime_days": "override_or_equal",
-    "flash_admission_stats": "optional_sum_dict",
-    "network_utilization": "override_or_equal",
-    "read_timeline": "timeline",
-    "per_host": "per_host",
-    "block_writes": "sum",
-    "writes_requiring_invalidation": "sum",
-    "copies_invalidated": "sum",
-    "invalidation_latency_ns": "sum",
-    "breakdown": "none_only",
-    "obs_counters": "optional_sum_dict",
-}
-
-
-def _merge_latency(a: LatencyStat, b: LatencyStat) -> LatencyStat:
-    merged = LatencyStat()
-    merged.merge(a)
-    merged.merge(b)
-    return merged
-
-
-def _merge_tier_stats(
-    a: Dict[str, Dict[str, float]], b: Dict[str, Dict[str, float]]
-) -> Dict[str, Dict[str, float]]:
-    totals: Dict[str, Dict[str, float]] = {}
-    for operand in (a, b):
-        for tier_name, stats in operand.items():
-            tier = totals.setdefault(tier_name, {})
-            for key, value in stats.items():
-                if key == "hit_rate":
-                    continue
-                tier[key] = tier.get(key, 0) + value
-    for tier in totals.values():
-        accesses = tier.get("hits", 0) + tier.get("misses", 0)
-        tier["hit_rate"] = (tier.get("hits", 0) / accesses) if accesses else 0.0
-    return totals
-
-
-def _per_host_active(row: Dict[str, float]) -> bool:
-    return bool(row.get("read_blocks", 0) or row.get("write_blocks", 0))
-
-
-def _merge_per_host(
-    a: List[Dict[str, float]], b: List[Dict[str, float]]
-) -> List[Dict[str, float]]:
-    by_host: Dict[int, Dict[str, float]] = {}
-    for operand in (a, b):
-        for row in operand:
-            host = int(row["host"])
-            existing = by_host.get(host)
-            if existing is None:
-                by_host[host] = dict(row)
-                continue
-            if _per_host_active(existing) and _per_host_active(row):
-                raise SimulationError(
-                    "cannot merge per_host rows for host %d: both operands "
-                    "measured it (latency means are not additive)" % host
-                )
-            for key, value in row.items():
-                if key == "host":
-                    continue
-                existing[key] = existing.get(key, 0) + value
-    return [by_host[host] for host in sorted(by_host)]
-
-
-def _merge_timeline(
-    a: Optional[TimelineStat], b: Optional[TimelineStat]
-) -> Optional[TimelineStat]:
-    if a is None and b is None:
-        return None
-    if a is None or b is None or a.bucket_ns != b.bucket_ns:
-        raise SimulationError(
-            "cannot merge read timelines: both runs must use the same "
-            "timeline_bucket_ns (got %r and %r)"
-            % (a and a.bucket_ns, b and b.bucket_ns)
-        )
-    merged = TimelineStat(a.bucket_ns)
-    for operand in (a, b):
-        for bucket, total in operand._sums.items():
-            merged._sums[bucket] = merged._sums.get(bucket, 0) + total
-            merged._counts[bucket] = (
-                merged._counts.get(bucket, 0) + operand._counts[bucket]
-            )
-    return merged
-
-
-def _merge_optional_sum_dict(
-    a: Optional[Dict[str, int]], b: Optional[Dict[str, int]]
-) -> Optional[Dict[str, int]]:
-    if a is None and b is None:
-        return None
-    merged: Dict[str, int] = dict(a or {})
-    for key, value in (b or {}).items():
-        merged[key] = merged.get(key, 0) + value
-    return merged
 
 
 @dataclass
@@ -229,140 +82,6 @@ class SimulationResults:
     breakdown: Optional["LatencyBreakdown"] = None
     #: per-event-kind trace counters from the same Observation
     obs_counters: Optional[Dict[str, int]] = None
-
-    # --- merging ----------------------------------------------------------
-
-    def merge(
-        self,
-        other: "SimulationResults",
-        *,
-        overrides: Optional[Dict[str, object]] = None,
-    ) -> "SimulationResults":
-        """Combine two runs' results into one, field by field.
-
-        Every dataclass field is merged by its entry in
-        :data:`_MERGE_RULES`; a field without an entry raises
-        :class:`~repro.errors.SimulationError` so new counters cannot
-        silently fall out of aggregated reports.  All rules are exact
-        (integer sums, maxima, equality) — fields that are *derived*
-        ratios or means (``network_utilization``,
-        ``flash_write_amplification``, ``flash_write_amp``,
-        ``device_lifetime_days``) cannot generally be reconstructed
-        from two finished results, so they must either agree on both
-        sides or be supplied through ``overrides`` by a caller that
-        recomputed the true combined value (the parallel replay engine
-        ships the raw integer inputs and does exactly that).
-
-        ``overrides`` wins over the per-field rule for any field named
-        in it.  Percentile sketches attached to latency accumulators do
-        not survive a merge (they never participate in signatures).
-        """
-        overrides = overrides or {}
-        unknown = set(overrides) - {spec.name for spec in fields(type(self))}
-        if unknown:
-            raise SimulationError(
-                "merge overrides name unknown fields: %s" % ", ".join(sorted(unknown))
-            )
-        merged: Dict[str, object] = {}
-        for spec in fields(type(self)):
-            name = spec.name
-            if name in overrides:
-                merged[name] = overrides[name]
-                continue
-            rule = _MERGE_RULES.get(name)
-            if rule is None:
-                raise SimulationError(
-                    "SimulationResults.merge has no rule for field %r — "
-                    "add it to repro.core.results._MERGE_RULES (this is "
-                    "deliberate: unmerged counters would silently report "
-                    "only one side's value)" % name
-                )
-            a, b = getattr(self, name), getattr(other, name)
-            if rule == "same":
-                if a != b:
-                    raise SimulationError(
-                        "cannot merge results with differing %r: %r != %r"
-                        % (name, a, b)
-                    )
-                merged[name] = a
-            elif rule == "latency":
-                merged[name] = _merge_latency(a, b)
-            elif rule == "sum":
-                merged[name] = a + b
-            elif rule == "max":
-                merged[name] = max(a, b)
-            elif rule == "tier_stats":
-                merged[name] = _merge_tier_stats(a, b)
-            elif rule == "per_host":
-                merged[name] = _merge_per_host(a, b)
-            elif rule == "optional_sum_dict":
-                merged[name] = _merge_optional_sum_dict(a, b)
-            elif rule == "timeline":
-                merged[name] = _merge_timeline(a, b)
-            elif rule == "none_only":
-                if a is not None or b is not None:
-                    raise SimulationError(
-                        "cannot merge results carrying %r (per-request "
-                        "breakdowns are not mergeable; rerun without an "
-                        "Observation or merge upstream)" % name
-                    )
-                merged[name] = None
-            elif rule == "override_or_equal":
-                if a != b and not (a is None and b is None):
-                    raise SimulationError(
-                        "field %r is a derived ratio and differs between "
-                        "operands (%r != %r): the caller must supply the "
-                        "combined value via overrides" % (name, a, b)
-                    )
-                merged[name] = a
-            else:  # pragma: no cover - rule table typo guard
-                raise SimulationError("unknown merge rule %r for field %r" % (rule, name))
-        return type(self)(**merged)
-
-    @classmethod
-    def merge_all(
-        cls,
-        parts: List["SimulationResults"],
-        *,
-        overrides: Optional[Dict[str, object]] = None,
-    ) -> "SimulationResults":
-        """Left-fold :meth:`merge` over ``parts`` (at least one).
-
-        ``overrides`` is applied on every fold, so the supplied combined
-        values land in the final result regardless of fold order.
-        """
-        if not parts:
-            raise SimulationError("merge_all needs at least one result")
-        merged = parts[0]
-        if len(parts) == 1 and overrides:
-            merged = merged.merge(merged._empty_like(), overrides=overrides)
-        for part in parts[1:]:
-            merged = merged.merge(part, overrides=overrides)
-        return merged
-
-    def _empty_like(self) -> "SimulationResults":
-        """A zero-contribution result mergeable with ``self`` (identity
-        element for every exact rule; derived fields copy over)."""
-        return type(self)(
-            config_description=self.config_description,
-            read_latency=LatencyStat(),
-            write_latency=LatencyStat(),
-            read_request_latency=LatencyStat(),
-            write_request_latency=LatencyStat(),
-            simulated_ns=0,
-            measured_ns=0,
-            records_replayed=0,
-            blocks_read=0,
-            blocks_written=0,
-            tier_stats={},
-            flash_write_amplification=self.flash_write_amplification,
-            flash_write_amp=self.flash_write_amp,
-            device_lifetime_days=self.device_lifetime_days,
-            network_utilization=self.network_utilization,
-            read_timeline=None if self.read_timeline is None else TimelineStat(
-                self.read_timeline.bucket_ns
-            ),
-        )
 
     # --- headline metrics -------------------------------------------------
 

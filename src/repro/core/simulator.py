@@ -28,13 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 AUTO_COMPILE_MIN_RECORDS = 32_768
 COMPILE_ENV = "REPRO_COMPILE_MIN_RECORDS"
 
-#: Environment default for ``run_simulation(parallel_hosts=...)``:
-#: the number of worker processes to shard a multi-host replay across
-#: (``0``/unset keeps the serial path).  See
-#: :mod:`repro.engine.parallel` for eligibility — ineligible runs fall
-#: back to serial with identical results either way.
-PARALLEL_HOSTS_ENV = "REPRO_PARALLEL_HOSTS"
-
 
 def _auto_compile_min_records() -> int:
     env = os.environ.get(COMPILE_ENV, "").strip()
@@ -46,24 +39,14 @@ def _auto_compile_min_records() -> int:
         raise ConfigError("%s must be an integer, got %r" % (COMPILE_ENV, env))
 
 
-def _parallel_hosts_default() -> int:
-    env = os.environ.get(PARALLEL_HOSTS_ENV, "").strip()
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError("%s must be an integer, got %r" % (PARALLEL_HOSTS_ENV, env))
-
-
 def results_from_system(
     system: System, config: SimConfig, records_replayed: int
 ) -> SimulationResults:
     """Collect a finished :class:`System`'s state into results.
 
-    Shared by the serial replay path below and the parallel replay
-    workers (:mod:`repro.engine.parallel`), so both report through the
-    exact same aggregation code.
+    The one place a replayed system becomes a
+    :class:`SimulationResults`: every :func:`run_simulation` call
+    reports through it.
     """
     obs = system.obs
     tier_stats = system.aggregate_tier_stats()
@@ -114,7 +97,6 @@ def run_simulation(
     timeline_bucket_ns: Optional[int] = None,
     check_invariants: Optional[bool] = None,
     obs: Optional["Observation"] = None,
-    parallel_hosts: Optional[int] = None,
 ) -> SimulationResults:
     """Replay ``trace`` on a system built from ``config``.
 
@@ -168,13 +150,6 @@ def run_simulation(
     instead — useful when the run executes in a sweep worker process
     and only the (picklable) results travel back.  The simulation
     itself is bit-identical either way.
-
-    ``parallel_hosts`` (or the ``REPRO_PARALLEL_HOSTS`` environment
-    variable) shards an eligible multi-host replay across that many
-    worker processes with a deterministic merge — results are
-    bit-identical to the serial path, which any ineligible run silently
-    falls back to.  See :mod:`repro.engine.parallel` and
-    ``docs/SCALING.md``.
     """
     if cold_start:
         trace = trace.without_warmup()
@@ -189,25 +164,6 @@ def run_simulation(
     if n_hosts is None:
         hosts_in_trace = trace.hosts()
         n_hosts = (max(hosts_in_trace) + 1) if hosts_in_trace else 1
-    if parallel_hosts is None:
-        parallel_hosts = _parallel_hosts_default()
-    if parallel_hosts and parallel_hosts > 1:
-        from repro.engine.parallel import try_parallel_replay
-
-        merged = try_parallel_replay(
-            trace,
-            config,
-            n_hosts=n_hosts,
-            workers=parallel_hosts,
-            restart=restart,
-            timeline_bucket_ns=timeline_bucket_ns,
-            check_invariants=check_invariants,
-            obs=obs,
-        )
-        if merged is not None:
-            return merged
-        # Ineligible (or a cross-group conflict surfaced): fall through
-        # to the serial path, which is always correct.
     system = System(
         config,
         n_hosts,

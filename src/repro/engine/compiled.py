@@ -236,13 +236,6 @@ def kernel_eligible(system) -> bool:
         # Modeled directory latency inserts stalls on the write path
         # that the flattened state tables do not transcribe.
         return False
-    if system.directory.conflict_watch is not None:
-        # A parallel replay worker watching for cross-group conflicts
-        # needs every copy acquisition to flow through the directory's
-        # note_copy hook; the kernel fast paths parts of that
-        # bookkeeping, so conflict-watched replays stay on the
-        # generator kernel.
-        return False
     for device in system.flash_devices:
         if device is not None and not device.unlimited_parallelism:
             return False

@@ -45,25 +45,6 @@ class InvariantViolation(SimulationError):
         self.snapshot = dict(snapshot or {})
 
 
-class ParallelReplayConflict(SimulationError):
-    """A parallel replay worker touched state owned by another group.
-
-    Raised inside a worker when a host acquires a copy of a block that
-    some *other* group writes (see ``ConsistencyDirectory.conflict_watch``
-    and :mod:`repro.engine.parallel`): the groups are coupled after all,
-    so the sharded replay cannot be bit-identical and the parent falls
-    back to one serial replay.  Never escapes ``run_simulation``.
-    """
-
-    def __init__(self, host_id: int, block: int) -> None:
-        super().__init__(
-            "host %d cached block %d, which another replay group writes"
-            % (host_id, block)
-        )
-        self.host_id = host_id
-        self.block = block
-
-
 class TraceFormatError(ReproError):
     """A trace file or record could not be parsed."""
 

@@ -710,169 +710,6 @@ def check_fleet_identity(scale: int = DEFAULT_SCALE) -> DifferentialCheck:
     )
 
 
-def check_parallel_replay_identity(scale: int = DEFAULT_SCALE) -> DifferentialCheck:
-    """Sharded multi-host replay must be bit-identical to serial replay.
-
-    Each point replays twice — once serially, once with
-    ``parallel_hosts=4`` (host groups fanned over the worker pool and
-    merged, :mod:`repro.engine.parallel`) — and the
-    :func:`full_signature` of the two runs must agree exactly.  The
-    matrix mixes the engine's tiers: disjoint-tenant fleet traces
-    (every scenario) and split 4-host baselines must actually shard
-    (``last_outcome()`` is asserted, so a silently-declining engine
-    fails the check rather than trivially passing), while 4-host
-    shared-working-set points must trip the conflict watch and fall
-    back — still bit-identical.  Both runs pin
-    ``check_invariants=False``: the point is replay identity, and the
-    invariants environment would otherwise turn the parallel leg into
-    a no-op.
-    """
-    from dataclasses import replace as dc_replace
-
-    from repro.core.simulator import run_simulation
-    from repro.engine import parallel as parallel_engine
-    from repro.filer.timing import FilerTiming
-    from repro.tracegen.fleet import SCENARIOS, fleet_trace
-
-    spec = dc_replace(_fleet_spec(scale), warmup_fraction=0.0)
-    fleet_steady = fleet_trace(spec, "steady")
-    split_trace = baseline_trace(
-        n_hosts=4, shared_working_set=False, scale=scale, volume_multiple=2.0
-    ).without_warmup()
-    shared_trace = baseline_trace(
-        n_hosts=4, shared_working_set=True, scale=scale, volume_multiple=2.0
-    ).without_warmup()
-
-    def eligible_config(fast_read_rate: float = 1.0, **overrides) -> "SimConfig":
-        # Deterministic filer and syncer-free policies: the eligibility
-        # conditions documented in docs/INVARIANTS.md.
-        overrides.setdefault("ram_policy", WritebackPolicy.parse("a"))
-        overrides.setdefault("flash_policy", WritebackPolicy.parse("a"))
-        config = baseline_config(scale=scale, **overrides)
-        return dc_replace(
-            config,
-            timing=dc_replace(
-                config.timing,
-                filer=FilerTiming(fast_read_rate=fast_read_rate),
-            ),
-        )
-
-    # (label, trace, n_hosts, config, expected outcome kind or None)
-    points = []
-    for architecture in ALL_ARCHITECTURES:
-        points.append(
-            (
-                "fleet/steady-%s-a" % architecture.value,
-                fleet_steady,
-                spec.n_hosts,
-                eligible_config(architecture=architecture),
-                "parallel",
-            )
-        )
-    for policy in ("s", "d30"):
-        points.append(
-            (
-                "fleet/steady-naive-%s" % policy,
-                fleet_steady,
-                spec.n_hosts,
-                eligible_config(
-                    ram_policy=WritebackPolicy.parse(policy),
-                    flash_policy=WritebackPolicy.parse(policy),
-                ),
-                "parallel",
-            )
-        )
-    points.append(
-        (
-            "fleet/steady-naive-slow-filer",
-            fleet_steady,
-            spec.n_hosts,
-            eligible_config(fast_read_rate=0.0),
-            "parallel",
-        )
-    )
-    points.append(
-        (
-            "fleet/steady-naive-flash0",
-            fleet_steady,
-            spec.n_hosts,
-            eligible_config(flash_gb=0),
-            "parallel",
-        )
-    )
-    for scenario in SCENARIOS:
-        if scenario == "steady":
-            continue
-        points.append(
-            (
-                "fleet/%s-naive-a" % scenario,
-                fleet_trace(spec, scenario),
-                spec.n_hosts,
-                eligible_config(),
-                "parallel",
-            )
-        )
-    for architecture in ALL_ARCHITECTURES:
-        points.append(
-            (
-                "split4/%s-a" % architecture.value,
-                split_trace,
-                4,
-                eligible_config(architecture=architecture),
-                None,  # shards when the generated working sets are disjoint
-            )
-        )
-    points.append(
-        ("shared4/naive-a", shared_trace, 4, eligible_config(), "conflict")
-    )
-    points.append(
-        (
-            "shared4/unified-s",
-            shared_trace,
-            4,
-            eligible_config(
-                architecture=Architecture.UNIFIED,
-                ram_policy=WritebackPolicy.parse("s"),
-                flash_policy=WritebackPolicy.parse("s"),
-            ),
-            "conflict",
-        )
-    )
-
-    problems: List[str] = []
-    for label, trace, n_hosts, config, expected in points:
-        reference = full_signature(
-            run_simulation(trace, config, n_hosts=n_hosts, check_invariants=False)
-        )
-        candidate = full_signature(
-            run_simulation(
-                trace,
-                config,
-                n_hosts=n_hosts,
-                check_invariants=False,
-                parallel_hosts=4,
-            )
-        )
-        outcome = parallel_engine.last_outcome()
-        if expected is not None and (outcome is None or outcome.kind != expected):
-            problems.append(
-                "%s: expected %s engine outcome, got %s"
-                % (label, expected, outcome)
-            )
-        if reference != candidate:
-            drifted = [key for key in reference if reference[key] != candidate[key]]
-            problems.append("%s: %s" % (label, ", ".join(drifted[:3])))
-    if problems:
-        return DifferentialCheck(
-            "parallel-replay-identity", False, "; ".join(problems[:4])
-        )
-    return DifferentialCheck(
-        "parallel-replay-identity",
-        True,
-        "%d points bit-identical between serial and sharded replay" % len(points),
-    )
-
-
 def check_percentile_sketch(scale: int = DEFAULT_SCALE) -> DifferentialCheck:
     """The streaming percentile sketch must agree with exact quantiles
     to within its configured relative error.
@@ -951,7 +788,6 @@ def run_differential(
             check_compiled_kernel_identity(scale=scale),
             check_sharded_directory_identity(scale=scale),
             check_fleet_identity(scale=scale),
-            check_parallel_replay_identity(scale=scale),
             check_percentile_sketch(scale=scale),
         ]
     )

@@ -240,13 +240,6 @@ class TestMakePolicy:
         with pytest.raises(CacheError):
             make_policy("arc")
 
-    def test_legacy_entry_point_warns_but_works(self):
-        import repro.cache.policy as cache_policy
-
-        with pytest.warns(DeprecationWarning):
-            policy = cache_policy.make_policy("lru")
-        assert isinstance(policy, LRUPolicy)
-
 
 class TestVictimContract:
     """The EvictionPolicy.victim(skip) contract, exercised the same way

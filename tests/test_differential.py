@@ -6,7 +6,6 @@ from repro.validation.differential import (
     DifferentialReport,
     check_chunked_replay_identity,
     check_flash_zero_collapse,
-    check_parallel_replay_identity,
     check_percentile_sketch,
     check_read_only_zero_writebacks,
     check_sync_policies_zero_dirty,
@@ -37,11 +36,6 @@ class TestIdentities:
         assert check.passed, check.detail
         assert "15 matrix points" in check.detail
 
-    def test_parallel_replay_matches_serial(self):
-        check = check_parallel_replay_identity(scale=FAST_SCALE)
-        assert check.passed, check.detail
-        assert "16 points" in check.detail
-
     def test_percentile_sketch_within_bounds(self):
         check = check_percentile_sketch(scale=FAST_SCALE)
         assert check.passed, check.detail
@@ -51,7 +45,7 @@ class TestHarness:
     def test_run_differential_aggregates(self):
         report = run_differential(scale=FAST_SCALE)
         assert report.passed, report.summary()
-        assert len(report.checks) == 9
+        assert len(report.checks) == 8
         assert {c.name for c in report.checks} == {
             "flash-zero-collapse",
             "read-only-zero-writebacks",
@@ -60,7 +54,6 @@ class TestHarness:
             "compiled-kernel-identity",
             "sharded-directory-identity",
             "fleet-identity",
-            "parallel-replay-identity",
             "percentile-sketch-bounds",
         }
 
@@ -78,7 +71,7 @@ class TestHarness:
     def test_main_fast(self, capsys):
         assert main(["--scale", str(FAST_SCALE)]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 8
 
 
 class TestSignature:

@@ -25,6 +25,7 @@ def test_example_runs(script):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip(), "example should print something"
+    assert "Warning" not in completed.stderr, completed.stderr
 
 
 def test_expected_examples_present():

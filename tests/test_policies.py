@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-import repro
 import repro.policies as policies
 from tests.helpers import make_trace, tiny_config
 from repro._units import BLOCK_SIZE, MB, SECOND
@@ -292,11 +291,6 @@ class TestConfigIntegration:
 
 
 class TestDeprecationShims:
-    def test_top_level_writeback_import_warns(self):
-        with pytest.warns(DeprecationWarning):
-            policy_cls = repro.WritebackPolicy
-        assert policy_cls is WritebackPolicy
-
     def test_registry_reexports_writeback(self):
         assert policies.WritebackPolicy is WritebackPolicy
 
