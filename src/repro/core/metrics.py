@@ -287,21 +287,6 @@ class LatencyStat:
             threshold *= 2
         return float(self.max_ns)
 
-    def merge(self, other: "LatencyStat") -> None:
-        """Fold another accumulator into this one."""
-        self.count += other.count
-        self.total_ns += other.total_ns
-        if other.min_ns is not None and (self.min_ns is None or other.min_ns < self.min_ns):
-            self.min_ns = other.min_ns
-        self.max_ns = max(self.max_ns, other.max_ns)
-        for index, bucket_count in enumerate(other._buckets):
-            self._buckets[index] += bucket_count
-        # getattr: results unpickled from caches written before the
-        # sketch slot existed have no ``sketch`` attribute.
-        other_sketch = getattr(other, "sketch", None)
-        if self.sketch is not None and other_sketch is not None:
-            self.sketch.merge(other_sketch)
-
     def as_dict(self) -> Dict[str, float]:
         summary = {
             "count": self.count,

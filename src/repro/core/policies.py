@@ -30,6 +30,7 @@ checked:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -46,6 +47,15 @@ class PolicyKind(enum.Enum):
     NONE = "none"
     TRICKLE = "trickle"
     DELAYED = "delayed"
+
+
+def _period_ns(seconds: float) -> int:
+    """A timed policy's period in nanoseconds (a non-finite one is a
+    configuration error)."""
+    period_ns = seconds * SECOND
+    if not math.isfinite(period_ns):
+        raise ConfigError("policy period must be finite, got %r seconds" % seconds)
+    return int(period_ns)
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class WritebackPolicy:
 
     @classmethod
     def periodic(cls, seconds: float) -> "WritebackPolicy":
-        return cls(PolicyKind.PERIODIC, period_ns=int(seconds * SECOND))
+        return cls(PolicyKind.PERIODIC, period_ns=_period_ns(seconds))
 
     @classmethod
     def none(cls) -> "WritebackPolicy":
@@ -85,12 +95,12 @@ class WritebackPolicy:
     @classmethod
     def trickle(cls, seconds: float) -> "WritebackPolicy":
         """Extension: periodic flushing spread evenly across the period."""
-        return cls(PolicyKind.TRICKLE, period_ns=int(seconds * SECOND))
+        return cls(PolicyKind.TRICKLE, period_ns=_period_ns(seconds))
 
     @classmethod
     def delayed(cls, seconds: float) -> "WritebackPolicy":
         """Extension: asynchronous write-through after a fixed delay."""
-        return cls(PolicyKind.DELAYED, period_ns=int(seconds * SECOND))
+        return cls(PolicyKind.DELAYED, period_ns=_period_ns(seconds))
 
     @classmethod
     def parse(cls, text: str) -> "WritebackPolicy":

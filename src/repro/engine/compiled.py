@@ -18,13 +18,16 @@ objects, no heap entries for straight-line service delays — a delay
 that the object kernel would fast-forward is fast-forwarded *inside*
 the dispatch loop, and only genuinely concurrent waits (wire queueing,
 filer contention, syncer periods, delayed flushes) touch the event
-heap.
+heap — syncer periods once per period, not once per host.
 
 Bit-identicality contract (the drift gates enforce it):
 
 * Every heap push in the object kernel corresponds to exactly one heap
-  push here, at the same simulated time, in the same order — sequence
-  numbers are allocated identically, so ties break identically.
+  push here, at the same simulated time, in the same order, so ties
+  break identically.  The one exception is the periodic syncers: the
+  object kernel's same-period syncers wake as one contiguous run, which
+  a single cohort task replays (see :func:`_syncer_cohorts`), so heap
+  entries keep their relative order but not their sequence numbers.
 * Every stateful call (store lookups, RNG draws, packet charges,
   directory notifications, admission/cleaning hooks, metric records)
   happens at the same simulated instant in the same order as the
@@ -172,28 +175,19 @@ WBR_LA_AFTER_FW = 30
 FRB_ENTER = 31
 FF_ENTER = 32
 
-# layered _syncer_loop (slots: [1]=period [2]=store [3]=flush state
-#  [4]=trickle flag)
-SY_LOOP = 33
-SY_TICK = 34
-
 # _after (slots: [1]=delay)
-AF_SLEEP = 35
-AF_DONE = 36
+AF_SLEEP = 33
+AF_DONE = 34
 
 # unified _install (slots: [1]=block [2]=dirty [3]=victim entry
 #  [4]=medium)
-UIN_ENTER = 37
-UIN_EVICT = 38
-UIN_AFTER_FW = 39
-UIN_AFTER_WRITE = 40
+UIN_ENTER = 35
+UIN_EVICT = 36
+UIN_AFTER_FW = 37
+UIN_AFTER_WRITE = 38
 
 # unified _flush_block (slots: [1]=block)
-UFB_ENTER = 41
-
-# unified _syncer_loop (slots: [1]=period [2]=medium [3]=trickle flag)
-USY_LOOP = 42
-USY_TICK = 43
+UFB_ENTER = 39
 
 
 class _HostExecutor:
@@ -244,9 +238,12 @@ def kernel_eligible(system) -> bool:
 
 def replay_compiled_kernel(system, trace) -> None:
     """Compiled-kernel twin of ``System._replay_compiled`` (keep in
-    sync): same spawn order, same warmup accounting, bit-identical
-    results — but the application threads, cache-stack I/O paths, and
-    syncers run as table-driven tasks instead of generators."""
+    sync): same warmup accounting, bit-identical results — but the
+    application threads and cache-stack I/O paths run as table-driven
+    tasks instead of generators.  Issuers and cleaning controllers are
+    spawned in the same order; syncers that the generator kernel would
+    spawn back to back with one period share one cohort task, which
+    wakes them in that order (see :func:`_syncer_cohorts`)."""
     plan = trace.issuer_plan()
     system._blocks_until_measurement = trace.warmup_blocks()
     if system._blocks_until_measurement == 0:
@@ -276,9 +273,10 @@ def replay_compiled_kernel(system, trace) -> None:
                 % (host_id, system.n_hosts)
             )
         executor_for(host_id).spawn_issuer(warmup_rows, measured_rows)
+    join_syncer = _syncer_cohorts(system)
     for host in system.hosts:
         host.keep_running = lambda: system._active_threads > 0
-        executor_for(host.host_id).start_syncers()
+        executor_for(host.host_id).start_syncers(join_syncer)
     sim = system.sim
     heap = sim._heap
     # Same rationale as the object compiled path: the run's allocations
@@ -306,6 +304,59 @@ def replay_compiled_kernel(system, trace) -> None:
             gc.enable()
     if system.invariants is not None:
         system.invariants.final()
+
+
+def _syncer_cohorts(system):
+    """Return ``join(period_ns, dirty, tick)``, which adds one periodic
+    syncer to a cohort task.  A cohort wakes once per period for all its
+    members, visits them in join order and calls ``tick`` (spawn one
+    round's flushes) only for a member whose ``dirty`` set is non-empty.
+
+    Exact (docs/ARCHITECTURE.md §3): syncers the generator kernel spawns
+    back to back at one instant with one period wake as one contiguous
+    run, which the cohort replays from the first member's heap place.
+    So a member joins the open cohort only if it has the same period,
+    starts at the same instant and nothing was spawned since
+    (``sim._seq`` unchanged, so an interleaved cleaning controller
+    splits it); otherwise it opens a new cohort.
+    """
+    sim = system.sim
+    heap = sim._heap
+    cohort = None  # (period_ns, start time, sim._seq after spawn, members)
+
+    def spawn_cohort(period_ns, members):
+        armed = False  # the first dispatch is the loop head: no round yet
+
+        def execute(task, _value):
+            nonlocal armed
+            while True:
+                if armed:
+                    for dirty, tick in members:
+                        if dirty:
+                            tick()
+                armed = True
+                if system._active_threads <= 0:  # every host's keep_running
+                    return
+                when = sim.now + period_ns
+                if when > sim.now and (not heap or when < heap[0][0]):
+                    sim.now = when
+                    continue
+                sim._seq += 1
+                heappush(heap, (when, sim._seq, task, None))
+                return
+
+        sim._seq += 1
+        heappush(heap, (sim.now, sim._seq, _Task(sim, execute), None))
+
+    def join(period_ns, dirty, tick):
+        nonlocal cohort
+        if cohort is None or cohort[:3] != (period_ns, sim.now, sim._seq):
+            members = []
+            spawn_cohort(period_ns, members)
+            cohort = (period_ns, sim.now, sim._seq, members)
+        cohort[3].append((dirty, tick))
+
+    return join
 
 
 def _layered_executor(system, stack, naive) -> _HostExecutor:
@@ -430,17 +481,32 @@ def _layered_executor(system, stack, naive) -> _HostExecutor:
             ]]
         )
 
-    def start_syncers():
-        # Twin of LayeredStack.start_syncers (same spawn order).
+    def start_syncer(join, policy, store, flush_state):
+        # One round of LayeredStack._syncer_loop is one ``tick``.
+        period_ns = policy.period_ns
+        trickle = policy.kind is _TRICKLE
+
+        def tick():
+            dirty = store.dirty_blocks()
+            if trickle:
+                spacing = period_ns // len(dirty)
+                for index, blk in enumerate(dirty):
+                    spawn([[flush_state, blk], [AF_SLEEP, index * spacing]])
+            else:
+                for blk in dirty:
+                    spawn([[flush_state, blk]])
+
+        join(period_ns, store._dirty, tick)
+
+    def start_syncers(join):
+        # Twin of LayeredStack.start_syncers (same order).
         if ram_policy.has_syncer and has_ram:
-            spawn([[SY_LOOP, ram_policy.period_ns, ram, FRB_ENTER,
-                    ram_kind is _TRICKLE]])
+            start_syncer(join, ram_policy, ram, FRB_ENTER)
         if cleaning is not None:
             cleaning.start()
             return
         if flash_policy.has_syncer and flash is not None:
-            spawn([[SY_LOOP, flash_policy.period_ns, flash, FF_ENTER,
-                    flash_kind is _TRICKLE]])
+            start_syncer(join, flash_policy, flash, FF_ENTER)
 
     def execute(
         task,
@@ -482,8 +548,6 @@ def _layered_executor(system, stack, naive) -> _HostExecutor:
         WBR_LA_AFTER_FW=WBR_LA_AFTER_FW,
         FRB_ENTER=FRB_ENTER,
         FF_ENTER=FF_ENTER,
-        SY_LOOP=SY_LOOP,
-        SY_TICK=SY_TICK,
         AF_SLEEP=AF_SLEEP,
         AF_DONE=AF_DONE,
         UIN_ENTER=UIN_ENTER,
@@ -491,8 +555,6 @@ def _layered_executor(system, stack, naive) -> _HostExecutor:
         UIN_AFTER_FW=UIN_AFTER_FW,
         UIN_AFTER_WRITE=UIN_AFTER_WRITE,
         UFB_ENTER=UFB_ENTER,
-        USY_LOOP=USY_LOOP,
-        USY_TICK=USY_TICK,
         _RAM=_RAM,
         _FLASH=_FLASH,
         _SYNC=_SYNC,
@@ -1336,37 +1398,7 @@ def _layered_executor(system, stack, naive) -> _HostExecutor:
                 flash.mark_clean(blk)
                 frames[-1] = _fw_frame()
                 continue
-            # ---- syncers and delayed flushes -----------------------
-            elif s == SY_LOOP:
-                if not stack.keep_running():
-                    frames.pop()
-                    if frames:
-                        continue
-                    return
-                f[0] = SY_TICK
-                when = sim.now + f[1]
-                if when > sim.now and (not heap or when < heap[0][0]):
-                    sim.now = when
-                    continue
-                sim._seq += 1
-                heappush(heap, (when, sim._seq, task, None))
-                return
-            elif s == SY_TICK:
-                dirty = f[2].dirty_blocks()
-                if dirty:
-                    flush_state = f[3]
-                    if f[4]:
-                        spacing = f[1] // len(dirty)
-                        for index, blk in enumerate(dirty):
-                            spawn(
-                                [[flush_state, blk],
-                                 [AF_SLEEP, index * spacing]]
-                            )
-                    else:
-                        for blk in dirty:
-                            spawn([[flush_state, blk]])
-                f[0] = SY_LOOP
-                continue
+            # ---- delayed flushes -----------------------------------
             elif s == AF_SLEEP:
                 f[0] = AF_DONE
                 delay = f[1]
@@ -1454,14 +1486,31 @@ def _unified_executor(system, stack) -> _HostExecutor:
             ]]
         )
 
-    def start_syncers():
-        # Twin of UnifiedStack.start_syncers (same spawn order).
+    def start_syncer(join, policy, medium):
+        # One round of UnifiedStack._syncer_loop is one ``tick``.
+        period_ns = policy.period_ns
+        trickle = policy.kind is _TRICKLE
+
+        def tick():
+            dirty = [
+                blk
+                for blk in cache.dirty_blocks()
+                if (entry := cache.peek(blk)) is not None
+                and entry.medium is medium
+            ]
+            if dirty:
+                spacing = period_ns // len(dirty) if trickle else 0
+                for index, blk in enumerate(dirty):
+                    spawn([[UFB_ENTER, blk], [AF_SLEEP, index * spacing]])
+
+        join(period_ns, cache._dirty, tick)
+
+    def start_syncers(join):
+        # Twin of UnifiedStack.start_syncers (same order).
         if ram_policy.has_syncer:
-            spawn([[USY_LOOP, ram_policy.period_ns, _RAM,
-                    ram_kind is _TRICKLE]])
+            start_syncer(join, ram_policy, _RAM)
         if flash_policy.has_syncer:
-            spawn([[USY_LOOP, flash_policy.period_ns, _FLASH,
-                    flash_kind is _TRICKLE]])
+            start_syncer(join, flash_policy, _FLASH)
 
     def _policy_step(f, frames, blk, medium):
         """write_block's policy dispatch; returns True if a sync flush
@@ -1520,8 +1569,6 @@ def _unified_executor(system, stack) -> _HostExecutor:
         WBR_LA_AFTER_FW=WBR_LA_AFTER_FW,
         FRB_ENTER=FRB_ENTER,
         FF_ENTER=FF_ENTER,
-        SY_LOOP=SY_LOOP,
-        SY_TICK=SY_TICK,
         AF_SLEEP=AF_SLEEP,
         AF_DONE=AF_DONE,
         UIN_ENTER=UIN_ENTER,
@@ -1529,8 +1576,6 @@ def _unified_executor(system, stack) -> _HostExecutor:
         UIN_AFTER_FW=UIN_AFTER_FW,
         UIN_AFTER_WRITE=UIN_AFTER_WRITE,
         UFB_ENTER=UFB_ENTER,
-        USY_LOOP=USY_LOOP,
-        USY_TICK=USY_TICK,
         _RAM=_RAM,
         _FLASH=_FLASH,
         _SYNC=_SYNC,
@@ -1858,38 +1903,7 @@ def _unified_executor(system, stack) -> _HostExecutor:
                 cache.mark_clean(blk)
                 frames[-1] = _fw_frame()
                 continue
-            # ---- syncers and delayed flushes -----------------------
-            elif s == USY_LOOP:
-                if not stack.keep_running():
-                    frames.pop()
-                    if frames:
-                        continue
-                    return
-                f[0] = USY_TICK
-                when = sim.now + f[1]
-                if when > sim.now and (not heap or when < heap[0][0]):
-                    sim.now = when
-                    continue
-                sim._seq += 1
-                heappush(heap, (when, sim._seq, task, None))
-                return
-            elif s == USY_TICK:
-                medium = f[2]
-                dirty = [
-                    blk
-                    for blk in cache.dirty_blocks()
-                    if (entry := cache.peek(blk)) is not None
-                    and entry.medium is medium
-                ]
-                if dirty:
-                    spacing = f[1] // len(dirty) if f[3] else 0
-                    for index, blk in enumerate(dirty):
-                        spawn(
-                            [[UFB_ENTER, blk],
-                             [AF_SLEEP, index * spacing]]
-                        )
-                f[0] = USY_LOOP
-                continue
+            # ---- delayed flushes -----------------------------------
             elif s == AF_SLEEP:
                 f[0] = AF_DONE
                 delay = f[1]

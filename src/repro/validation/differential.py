@@ -63,9 +63,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro._units import SECOND
 from repro.core.architectures import Architecture
 from repro.core.consistency import SHARDS_ENV
-from repro.core.policies import WritebackPolicy
+from repro.core.policies import PolicyKind, WritebackPolicy
 from repro.core.results import SimulationResults
 from repro.errors import InvariantViolation
 from repro.experiments.common import (
@@ -76,6 +77,7 @@ from repro.experiments.common import (
     scaled_gb,
 )
 from repro.invariants import Checker, fail, registered
+from repro.policies.cleaning import AgedClean
 from repro.sweep import run_sweep
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.generator import generate_trace
@@ -510,8 +512,9 @@ def check_compiled_kernel_identity(
     the generator kernel.
 
     Every point of the differential matrix plus a 7x7 writeback-policy
-    grid (sync/async/periodic 10, 30, 60/trickle/delayed on each tier)
-    and admission/cleaning-controller points is replayed twice — once
+    grid (sync/async/periodic 10, 30, 60/trickle/delayed on each tier),
+    admission/cleaning-controller points and multi-host syncer-cohort
+    points is replayed twice — once
     with ``REPRO_COMPILE_KERNEL=0`` (the generator reference) and once
     with the compiled kernel — and the :func:`full_signature` of the
     two runs must agree down to histogram buckets and per-host
@@ -602,6 +605,34 @@ def check_compiled_kernel_identity(
             os.environ.pop(SHARDS_ENV, None)
         else:
             os.environ[SHARDS_ENV] = saved_shards
+    # Syncer cohorts: the compiled kernel wakes the syncers that share a
+    # period as one task.  Equal periods merge every host's RAM and
+    # flash syncer into one cohort; mixed periods and interleaved
+    # cleaning controllers must split it back into per-host order.  The
+    # "tied" period is a multiple of 100 ns, like every Table-1 latency,
+    # so syncer wakes coincide with I/O completions; the aged cleaner
+    # wakes on the same grid, interleaved with the RAM syncers.
+    parse = WritebackPolicy.parse
+    tied = WritebackPolicy(PolicyKind.PERIODIC, period_ns=SECOND // scale // 100 * 100 * scale)
+    fleet_trace = compile_trace(
+        baseline_trace(n_hosts=8, shared_working_set=True, scale=scale, volume_multiple=2.0)
+    )
+    for label, trace, overrides in (
+        ("p10-p10-8h", fleet_trace, {"ram_policy": parse("p10"), "flash_policy": parse("p10")}),
+        ("p10-p30-8h", fleet_trace, {"ram_policy": parse("p10"), "flash_policy": parse("p30")}),
+        ("t30-t30-8h", fleet_trace, {"ram_policy": parse("t30"), "flash_policy": parse("t30")}),
+        ("tied-tied-8h", fleet_trace, {"ram_policy": tied, "flash_policy": tied}),
+        ("alru-8h", fleet_trace, {
+            "ram_policy": tied,
+            "flash_policy": parse("n"),
+            "flash_cleaning": AgedClean(idle_ns=0, period_ns=tied.period_ns).scaled(scale),
+        }),
+        ("lookaside-4h", multihost_trace,
+         {"architecture": Architecture.LOOKASIDE, "flash_policy": parse("p1")}),
+        ("unified-4h", multihost_trace,
+         {"architecture": Architecture.UNIFIED, "flash_policy": parse("p1")}),
+    ):
+        compare("cohort/%s" % label, trace, baseline_config(scale=scale, **overrides))
     if problems:
         return DifferentialCheck(
             "compiled-kernel-identity", False, "; ".join(problems[:4])

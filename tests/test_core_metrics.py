@@ -54,22 +54,6 @@ class TestLatencyStat:
         with pytest.raises(ValueError):
             LatencyStat().percentile(1.5)
 
-    def test_merge(self):
-        a, b = LatencyStat(), LatencyStat()
-        a.record(100)
-        b.record(300)
-        a.merge(b)
-        assert a.count == 2
-        assert a.mean_ns == pytest.approx(200.0)
-        assert a.min_ns == 100
-        assert a.max_ns == 300
-
-    def test_merge_empty(self):
-        a = LatencyStat()
-        a.record(50)
-        a.merge(LatencyStat())
-        assert a.count == 1
-
     def test_as_dict_keys(self):
         stat = LatencyStat()
         stat.record(1000)
@@ -105,26 +89,6 @@ class TestLatencyStat:
         for fraction in (0.0, 0.01, 0.5, 0.99, 1.0):
             estimate = stat.percentile(fraction)
             assert stat.min_ns <= estimate <= stat.max_ns
-
-    def test_merge_equals_combined_accumulator(self):
-        # The merged accumulator must be indistinguishable from one that
-        # saw both sample streams directly: min/max/count/total and every
-        # histogram bucket.
-        first = (100, 250, 1_500, 90_000)
-        second = (50, 1_500, 2**40)
-        a, b, combined = LatencyStat(), LatencyStat(), LatencyStat()
-        for value in first:
-            a.record(value)
-        for value in second:
-            b.record(value)
-        for value in first + second:
-            combined.record(value)
-        a.merge(b)
-        assert a.count == combined.count
-        assert a.total_ns == combined.total_ns
-        assert a.min_ns == combined.min_ns
-        assert a.max_ns == combined.max_ns
-        assert a._buckets == combined._buckets
 
     def test_bucket_index_matches_doubling_thresholds(self):
         # The closed-form bucket index must agree with the definition:
@@ -326,23 +290,6 @@ class TestLatencyStatSketchIntegration:
         assert summary["sketch_p50_us"] == pytest.approx(5.0, rel=0.01)
         assert "sketch_p99_us" in summary
         assert "sketch_p50_us" not in LatencyStat().as_dict()
-
-    def test_merge_merges_sketches(self):
-        a = LatencyStat(sketch=PercentileSketch(0.01))
-        b = LatencyStat(sketch=PercentileSketch(0.01))
-        a.record(100)
-        b.record(300)
-        a.merge(b)
-        assert a.sketch.count == 2
-
-    def test_merge_tolerates_sketchless_peer(self):
-        a = LatencyStat(sketch=PercentileSketch(0.01))
-        b = LatencyStat()
-        a.record(100)
-        b.record(300)
-        a.merge(b)  # must not raise
-        assert a.count == 2
-        assert a.sketch.count == 1
 
     def test_pickle_round_trip_with_sketch(self):
         stat = LatencyStat(sketch=PercentileSketch(0.01))

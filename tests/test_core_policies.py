@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import policies
 from repro._units import SECOND
 from repro.core.policies import PolicyKind, WritebackPolicy
 from repro.errors import ConfigError
@@ -67,6 +68,23 @@ class TestParseAndLabel:
 
     def test_str(self):
         assert str(WritebackPolicy.periodic(15)) == "p15"
+
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            lambda: WritebackPolicy.parse("pinf"),
+            lambda: WritebackPolicy.parse("pnan"),
+            lambda: WritebackPolicy.parse("t-inf"),
+            lambda: WritebackPolicy.parse("d1e300"),
+            lambda: policies.resolve("writeback", "periodic:inf"),
+            lambda: policies.resolve("writeback", "trickle:1e400"),
+            lambda: policies.resolve("writeback", "delayed:nan"),
+        ],
+        ids=["pinf", "pnan", "t-inf", "d1e300", "periodic:inf", "trickle:1e400", "delayed:nan"],
+    )
+    def test_non_finite_period_rejected(self, parse):
+        with pytest.raises(ConfigError):
+            parse()
 
 
 class TestExtendedPolicies:

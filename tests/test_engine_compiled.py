@@ -17,7 +17,7 @@ import pytest
 from repro.core.architectures import Architecture
 from repro.core.machine import System
 from repro.core.policies import WritebackPolicy
-from repro.core.simulator import run_simulation
+from repro.core.simulator import results_from_system, run_simulation
 from repro.engine.compiled import COMPILE_KERNEL_ENV, kernel_eligible
 from repro.experiments.common import DEFAULT_SCALE, baseline_config, baseline_trace
 from repro.traces.compiled import compile_trace
@@ -140,6 +140,29 @@ class TestKernelIdentity:
             chunked, baseline_config(scale=FAST_SCALE), monkeypatch
         )
         assert reference == candidate
+
+    def test_syncer_cohort_removes_idle_wakes(self, monkeypatch):
+        # Read-only, so no block is ever dirty: every syncer wake of the
+        # generator kernel is idle.  The compiled kernel wakes the 16
+        # RAM syncers as one cohort, so each period saves 15 events.
+        hosts = 16
+        trace = _compiled_baseline(n_hosts=hosts, write_fraction=0.0)
+        config = baseline_config(scale=FAST_SCALE)
+        runs = {}
+        for env_value in ("0", "1"):
+            monkeypatch.setenv(COMPILE_KERNEL_ENV, env_value)
+            system = System(config, n_hosts=hosts)
+            system.replay(trace)
+            runs[env_value] = (
+                system.sim._seq,
+                system.sim.now,
+                full_signature(results_from_system(system, config, len(trace))),
+            )
+        generator_seq, simulated_ns, reference = runs["0"]
+        compiled_seq, _, candidate = runs["1"]
+        assert candidate == reference
+        wakes = simulated_ns // config.ram_policy.period_ns
+        assert generator_seq - compiled_seq >= (hosts - 1) * wakes
 
     def test_cold_start_replays_identically(self, monkeypatch):
         reference, candidate = _run_both(
