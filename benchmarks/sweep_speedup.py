@@ -1,12 +1,9 @@
 #!/usr/bin/env python
-"""Sweep-engine benchmark: compiled-trace replay and fan-out overhead.
+"""Sweep-engine benchmark: fan-out overhead and parallel scaling.
 
 The persistent companion of ``benchmarks/replay_hotpath.py``, aimed at
-the two costs the compiled-trace work attacks:
+what the sweep engine adds on top of simulating:
 
-* **replay** — one pinned-seed ~1M-record replay, object form versus
-  the packed columnar form (``repro.traces.compiled``), with the full
-  result signature of each (they must be bit-identical);
 * **distribution** — a 49-point writeback-policy-matrix sweep, run the
   legacy way (fresh pool per call, disk-spooled traces) and the current
   way (warm persistent pool, zero-copy shared-memory fan-out).  The
@@ -18,9 +15,8 @@ the two costs the compiled-trace work attacks:
 
 Results merge into ``BENCH_sweep.json`` following the replay_hotpath
 conventions: the stored ``baseline`` section survives re-runs of the
-same geometry, ``--reset-baseline`` restarts it, and any result
-signature drift between baseline and post is an error (exit 3) unless
-``--allow-signature-drift`` is given.
+same geometry and ``--reset-baseline`` restarts it.  Every execution
+mode must reproduce the serial results exactly.
 
 Usage::
 
@@ -29,8 +25,8 @@ Usage::
     PYTHONPATH=src python benchmarks/sweep_speedup.py --check BENCH_sweep.json
 
 ``--check`` with a FILE argument only validates that file's schema;
-bare ``--check`` additionally enforces the speedup targets after a
-full-size run (targets are not enforced under ``--fast``, where the
+bare ``--check`` additionally enforces the overhead target after a
+full-size run (it is not enforced under ``--fast``, where the
 trace is too small for stable ratios).
 """
 
@@ -50,7 +46,6 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro._units import MB  # noqa: E402
 from repro.core.config import SimConfig, WritebackPolicy  # noqa: E402
-from repro.core.simulator import COMPILE_ENV, run_simulation  # noqa: E402
 from repro.fsmodel.impressions import ImpressionsConfig  # noqa: E402
 from repro.sweep import (  # noqa: E402
     NO_SHM_ENV,
@@ -60,14 +55,11 @@ from repro.sweep import (  # noqa: E402
 )
 from repro.tracegen.config import TraceGenConfig  # noqa: E402
 from repro.tracegen.generator import generate_trace  # noqa: E402
-from repro.traces.compiled import compile_trace  # noqa: E402
-from repro.validation.differential import result_signature  # noqa: E402
 
 #: Bump when the JSON layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-#: Acceptance targets, enforced by bare ``--check`` on full-size runs.
-REPLAY_TARGET = 1.2
+#: Acceptance target, enforced by bare ``--check`` on full-size runs.
 DISTRIBUTION_TARGET = 2.0
 
 #: Pinned seed of every benchmark trace (fixed: the benchmark is a
@@ -76,9 +68,9 @@ SEED = 20260806
 
 
 def _bench_trace(volume_multiple: float) -> TraceGenConfig:
-    """The pinned replay workload: RAM-resident working set, short
-    requests — the regime where per-record driver overhead (what
-    compilation removes) is the largest share of replay time."""
+    """The pinned sweep workload: RAM-resident working set, short
+    requests — cheap points, so the engine's own overhead is a large
+    share of sweep time."""
     return TraceGenConfig(
         fs=ImpressionsConfig(total_bytes=64 * MB, max_file_bytes=4 * MB),
         working_set_bytes=4 * MB,
@@ -116,20 +108,12 @@ def _policy_matrix() -> List[SimConfig]:
 
 # --- schema -------------------------------------------------------------
 
-_RUN_KEYS = {
-    "wall_s": float,
-    "blocks": int,
-    "blocks_per_sec": float,
-    "records": int,
-    "signature": dict,
-}
 _DIST_MODE_KEYS = {
     "wall_s": float,
     "busy_s": float,
     "overhead_s": float,
 }
 _SECTION_KEYS = {
-    "replay": dict,
     "distribution": dict,
     "scaling": dict,
 }
@@ -168,21 +152,6 @@ def validate_payload(payload: Dict) -> List[str]:
         for key, kind in _SECTION_KEYS.items():
             if not isinstance(section.get(key), kind):
                 problems.append("%s.%s missing or mistyped" % (section_name, key))
-        replay = section.get("replay")
-        if isinstance(replay, dict):
-            for mode in ("object", "compiled"):
-                run = replay.get(mode)
-                if not isinstance(run, dict):
-                    problems.append("%s.replay.%s missing" % (section_name, mode))
-                    continue
-                for key, kind in _RUN_KEYS.items():
-                    if not typed(run.get(key), kind):
-                        problems.append(
-                            "%s.replay.%s.%s missing or mistyped"
-                            % (section_name, mode, key)
-                        )
-            if not typed(replay.get("speedup"), float):
-                problems.append("%s.replay.speedup missing" % section_name)
         distribution = section.get("distribution")
         if isinstance(distribution, dict):
             for mode in ("legacy", "current"):
@@ -203,58 +172,9 @@ def validate_payload(payload: Dict) -> List[str]:
                     problems.append("%s.distribution.%s missing" % (section_name, key))
     speedup = payload.get("speedup")
     if isinstance(speedup, dict):
-        for key in ("replay_blocks_per_sec", "distribution_overhead"):
-            if key not in speedup:
-                problems.append("speedup.%s missing" % key)
+        if "distribution_overhead" not in speedup:
+            problems.append("speedup.distribution_overhead missing")
     return problems
-
-
-# --- replay: object form vs compiled form --------------------------------
-
-
-def _timed_replay(trace, config, repeats: int) -> Dict:
-    walls = []
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_simulation(trace, config)
-        walls.append(time.perf_counter() - start)
-    blocks = sum(trace.nblocks) if hasattr(trace, "nblocks") else sum(
-        record.nblocks for record in trace.records
-    )
-    wall = min(walls)
-    return {
-        "wall_s": round(wall, 4),
-        "blocks": int(blocks),
-        "blocks_per_sec": round(blocks / wall, 1),
-        "records": len(trace),
-        "signature": result_signature(result),
-    }
-
-
-def _bench_replay(fast: bool, repeats: int) -> Dict:
-    volume_multiple = 128.0 if fast else 2048.0
-    trace = generate_trace(_bench_trace(volume_multiple))
-    config = SimConfig.baseline_scaled(1024)
-
-    # Object-form baseline: auto-compilation disabled via its own knob,
-    # so this measures the pre-compiled-trace replay path.
-    saved = os.environ.get(COMPILE_ENV)
-    os.environ[COMPILE_ENV] = "0"
-    try:
-        object_run = _timed_replay(trace, config, repeats)
-    finally:
-        if saved is None:
-            os.environ.pop(COMPILE_ENV, None)
-        else:
-            os.environ[COMPILE_ENV] = saved
-
-    compiled_run = _timed_replay(compile_trace(trace), config, repeats)
-    return {
-        "object": object_run,
-        "compiled": compiled_run,
-        "speedup": round(object_run["wall_s"] / compiled_run["wall_s"], 3),
-    }
 
 
 # --- distribution: fan-out overhead of a 49-point sweep ------------------
@@ -365,30 +285,12 @@ def _bench_scaling(scale: int, workers: int, fast_grid: bool) -> Dict:
 
 
 def measure(fast: bool, workers: int, repeats: int, scale: int) -> Dict:
-    replay = _bench_replay(fast, repeats)
     distribution = _bench_distribution(fast, workers, max(1, repeats - 1))
     scaling = _bench_scaling(scale, workers, fast_grid=True)
-    return {"replay": replay, "distribution": distribution, "scaling": scaling}
+    return {"distribution": distribution, "scaling": scaling}
 
 
-# --- merging and drift checks -------------------------------------------
-
-
-def _signature_drift(baseline: Dict, post: Dict) -> List[str]:
-    problems: List[str] = []
-    for mode in ("object", "compiled"):
-        base_run = baseline.get("replay", {}).get(mode)
-        post_run = post.get("replay", {}).get(mode)
-        if base_run is None or post_run is None:
-            continue
-        base_sig, post_sig = base_run["signature"], post_run["signature"]
-        for key in base_sig:
-            if base_sig.get(key) != post_sig.get(key):
-                problems.append(
-                    "%s.%s: %r != %r"
-                    % (mode, key, base_sig.get(key), post_sig.get(key))
-                )
-    return problems
+# --- merging ------------------------------------------------------------
 
 
 def merge_payload(
@@ -416,9 +318,6 @@ def merge_payload(
         return round(post / base, 3) if base else None
 
     speedup = {
-        "replay_blocks_per_sec": ratio(
-            lambda s: s["replay"]["compiled"]["blocks_per_sec"]
-        ),
         # Overheads shrink, so baseline/post > 1 means "got faster".
         "distribution_overhead": ratio(
             lambda s: 1.0 / max(s["distribution"]["current"]["overhead_s"], 0.01)
@@ -441,7 +340,7 @@ def merge_payload(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/sweep_speedup.py",
-        description="Compiled-trace replay and sweep fan-out benchmark "
+        description="Sweep fan-out and parallel scaling benchmark "
         "(writes BENCH_sweep.json).",
     )
     parser.add_argument("--workers", type=int, default=4)
@@ -473,11 +372,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--reset-baseline",
         action="store_true",
         help="discard the stored baseline and restart it from this run",
-    )
-    parser.add_argument(
-        "--allow-signature-drift",
-        action="store_true",
-        help="do not fail when post signatures differ from the baseline",
     )
     parser.add_argument(
         "--check",
@@ -526,16 +420,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    replay = payload["post"]["replay"]
-    print(
-        "replay     object %7.3fs  compiled %7.3fs  (%.2fx, %d records)"
-        % (
-            replay["object"]["wall_s"],
-            replay["compiled"]["wall_s"],
-            replay["speedup"],
-            replay["compiled"]["records"],
-        )
-    )
     distribution = payload["post"]["distribution"]
     print(
         "distribute %d points: legacy overhead %.3fs, current %.3fs "
@@ -565,8 +449,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures.append("legacy and current distribution results differ")
     if not scaling["identical"]:
         failures.append("parallel figure2 results differ from serial")
-    if replay["object"]["signature"] != replay["compiled"]["signature"]:
-        failures.append("compiled replay signature differs from object replay")
     if args.min_speedup is not None and (
         scaling["parallel_speedup"] is None
         or scaling["parallel_speedup"] < args.min_speedup
@@ -575,35 +457,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "figure2 speedup %s below required %.2fx"
             % (scaling["parallel_speedup"], args.min_speedup)
         )
-    if args.check is True and not args.fast:
-        if replay["speedup"] < REPLAY_TARGET:
-            failures.append(
-                "replay speedup %.2fx below the %.1fx target"
-                % (replay["speedup"], REPLAY_TARGET)
-            )
-        if distribution["overhead_ratio"] < DISTRIBUTION_TARGET:
-            failures.append(
-                "distribution overhead ratio %.2fx below the %.1fx target"
-                % (distribution["overhead_ratio"], DISTRIBUTION_TARGET)
-            )
+    if (
+        args.check is True
+        and not args.fast
+        and distribution["overhead_ratio"] < DISTRIBUTION_TARGET
+    ):
+        failures.append(
+            "distribution overhead ratio %.2fx below the %.1fx target"
+            % (distribution["overhead_ratio"], DISTRIBUTION_TARGET)
+        )
     if failures:
         for failure in failures:
             print("FAIL: %s" % failure, file=sys.stderr)
         return 1
 
-    drift = _signature_drift(payload["baseline"], payload["post"])
-    if drift:
-        print("result-signature drift vs stored baseline:")
-        for problem in drift[:10]:
-            print("  - %s" % problem)
-        if not args.allow_signature_drift:
-            print(
-                "refusing to accept drifting results "
-                "(--allow-signature-drift or --reset-baseline to override)"
-            )
-            return 3
-    else:
-        print("result signatures: bit-identical to stored baseline")
     print("wrote %s" % args.out)
     return 0
 

@@ -25,9 +25,7 @@ from repro.flash.device import FlashDevice
 from repro.flash.ftl_device import FTLFlashDevice
 from repro.invariants import build_suite, resolve_enabled
 from repro.net.link import NetworkSegment
-from repro.traces.chunked import ChunkedCompiledTrace
-from repro.traces.compiled import CompiledTrace
-from repro.traces.records import Trace, TraceRecord
+from repro.traces.compiled import compile_trace
 
 
 class System:
@@ -198,63 +196,24 @@ class System:
 
     def replay(self, trace) -> None:
         """Replay the whole trace (``Trace``, ``CompiledTrace``, or
-        ``ChunkedCompiledTrace``) to completion.  Compiled traces —
-        in-memory or chunked/spooled — take the packed-column hot loop
-        (chunked ones feed it lazy row streams, so peak memory stays
-        bounded by chunk size); the instrumented (observability) path
-        needs record objects, so a compiled trace is materialized first
-        when tracing is on.
-        """
-        if isinstance(trace, (CompiledTrace, ChunkedCompiledTrace)):
-            if self.obs is not None:
-                trace = trace.to_trace()
-            else:
-                self._replay_compiled(trace)
-                return
-        groups = trace.split_by_issuer()
-        self._blocks_until_measurement = sum(
-            record.nblocks for record in trace.records[: trace.warmup_records]
-        )
-        if self._blocks_until_measurement == 0:
-            self._begin_measurement()
-        self._active_threads = len(groups)
-        for (host_id, thread_id), items in sorted(groups.items()):
-            if host_id >= self.n_hosts:
-                raise ValueError(
-                    "trace references host %d but the system has %d hosts"
-                    % (host_id, self.n_hosts)
-                )
-            if self.obs is not None:
-                process = self._thread_process_obs(
-                    trace, self.hosts[host_id], items, thread_id
-                )
-            else:
-                process = self._thread_process(trace, self.hosts[host_id], items)
-            self.sim.spawn(process, name="app.h%d" % host_id)
-        for host in self.hosts:
-            # Syncers keep ticking while application threads are live and
-            # wind down afterwards, letting the event queue drain.
-            host.keep_running = lambda: self._active_threads > 0
-            host.start_syncers()
-        self.sim.run()
-        if self.invariants is not None:
-            self.invariants.final()
+        ``ChunkedCompiledTrace``) to completion.
 
-    def _replay_compiled(self, trace) -> None:
-        """Compiled-trace twin of :meth:`replay` (keep in sync): same
-        spawn order, same warmup accounting, bit-identical results.
-        ``trace`` is a ``CompiledTrace`` or ``ChunkedCompiledTrace``;
-        both expose the same ``issuer_plan()``/``warmup_blocks()``
-        contract, differing only in whether the row containers are
-        materialized lists or bounded streaming reads.
+        This is where a :class:`~repro.traces.records.Trace` becomes a
+        :class:`~repro.traces.compiled.CompiledTrace` (memoized per
+        trace object), so every replay consumes the same
+        ``issuer_plan()`` rows: materialized lists, or lazy streams from
+        a chunked spool whose peak memory stays bounded by chunk size —
+        with or without an attached Observation.
 
         Eligible configurations take the table-driven compiled kernel
         (:mod:`repro.engine.compiled`) instead of spawning generator
         processes; it replays bit-identically (the differential gates
         compare the two every CI run) and exists purely for speed.
-        ``REPRO_COMPILE_KERNEL=0`` forces the generator path."""
+        ``REPRO_COMPILE_KERNEL=0`` forces the generator kernel.
+        """
         from repro.engine.compiled import kernel_eligible, replay_compiled_kernel
 
+        trace = compile_trace(trace)
         if kernel_eligible(self):
             replay_compiled_kernel(self, trace)
             return
@@ -263,19 +222,22 @@ class System:
         if self._blocks_until_measurement == 0:
             self._begin_measurement()
         self._active_threads = len(plan)
-        for host_id, _thread_id, warmup_rows, measured_rows in plan:
+        thread_process = self._app_thread if self.obs is None else self._app_thread_obs
+        for host_id, thread_id, warmup_rows, measured_rows in plan:
             if host_id >= self.n_hosts:
                 raise ValueError(
                     "trace references host %d but the system has %d hosts"
                     % (host_id, self.n_hosts)
                 )
             self.sim.spawn(
-                self._thread_process_compiled(
-                    self.hosts[host_id], warmup_rows, measured_rows
+                thread_process(
+                    self.hosts[host_id], thread_id, warmup_rows, measured_rows
                 ),
                 name="app.h%d" % host_id,
             )
         for host in self.hosts:
+            # Syncers keep ticking while application threads are live and
+            # wind down afterwards, letting the event queue drain.
             host.keep_running = lambda: self._active_threads > 0
             host.start_syncers()
         # The replay loop's allocations (generator frames, event-heap
@@ -295,14 +257,14 @@ class System:
         if self.invariants is not None:
             self.invariants.final()
 
-    def _thread_process_compiled(
+    def _app_thread(
         self,
         stack: HostStack,
+        _thread_id: int,
         warmup_rows,
         measured_rows,
     ):
-        """One application thread over packed rows — the compiled twin
-        of :meth:`_thread_process` (keep in sync).
+        """One application thread: issue its rows in order, one at a time.
 
         The row containers are any re-iterable of ``(op, start_block,
         nblocks)`` int tuples: materialized lists from
@@ -311,20 +273,19 @@ class System:
         once per replay, in order, so both forms drive the identical
         sequence of block operations.
 
-        The warmup/measured split is precomputed (no per-record warmup
-        test), rows are plain int tuples (no attribute or property
-        lookups), single-block records skip the ``range`` object, the
-        read/write branch is taken once per record instead of once per
-        block, and the post-measurement ``_record_completed`` call is
-        elided when the invariant sanitizer is off (it would be a
-        no-op).  When no latency timeline is collected, the metric
-        wrappers are inlined too: ``measuring`` is always True during a
-        replay (the driver gates on warmup, not the flag), so
-        ``record_block`` reduces to one accumulator call plus a counter
-        bump per collector — done here directly.  All of this is
-        bookkeeping around the same ``read_block``/``write_block``
-        calls in the same order, so results stay bit-identical to the
-        object path.
+        This loop runs once per record and its body once per 4 KB block
+        — the replay hot path.  The warmup/measured split is
+        precomputed (no per-record warmup test), rows are plain int
+        tuples (no attribute or property lookups), single-block records
+        skip the ``range`` object, the read/write branch is taken once
+        per record instead of once per block, and the post-measurement
+        ``_record_completed`` call is elided when the invariant
+        sanitizer is off (it would be a no-op).  When no latency
+        timeline is collected, the metric wrappers are inlined too:
+        ``measuring`` is always True during a replay (the driver gates
+        on warmup, not the flag), so ``record_block`` reduces to one
+        accumulator call plus a counter bump per collector — done here
+        directly.
         """
         sim = self.sim
         read_block = stack.read_block
@@ -443,56 +404,14 @@ class System:
             if check_invariants or self._measurement_started_at is None:
                 record_completed(nb)
 
-    def _thread_process(
+    def _app_thread_obs(
         self,
-        trace: Trace,
         stack: HostStack,
-        items: List[Tuple[int, TraceRecord]],
-    ):
-        """One application thread: issue records in order, one at a time."""
-        # This loop runs once per trace record and its body once per
-        # 4 KB block — the replay hot path.  Attribute lookups that are
-        # loop-invariant (the simulator, the stack's entry points, the
-        # collectors) are hoisted into locals.
-        sim = self.sim
-        warmup_records = trace.warmup_records
-        record_blocks = trace.record_blocks
-        read_block = stack.read_block
-        write_block = stack.write_block
-        metrics = self.metrics
-        record_fleet_block = metrics.record_block
-        record_request = metrics.record_request
-        record_host_block = self.host_metrics[stack.host_id].record_block
-        record_completed = self._record_completed
-        for index, record in items:
-            is_warmup = index < warmup_records
-            measured = not is_warmup
-            is_write = record.is_write
-            request_start = sim.now
-            for block in record_blocks(record):
-                block_start = sim.now
-                if is_write:
-                    yield from write_block(block, measured=measured)
-                else:
-                    yield from read_block(block)
-                if measured:
-                    now = sim.now
-                    latency = now - block_start
-                    record_fleet_block(is_write, latency, at_ns=now)
-                    record_host_block(is_write, latency)
-            if measured:
-                record_request(is_write, sim.now - request_start)
-            record_completed(record.nblocks)
-        self._active_threads -= 1
-
-    def _thread_process_obs(
-        self,
-        trace: Trace,
-        stack: HostStack,
-        items: List[Tuple[int, TraceRecord]],
         thread_id: int,
+        warmup_rows,
+        measured_rows,
     ):
-        """Instrumented twin of :meth:`_thread_process` (keep in sync).
+        """Instrumented twin of :meth:`_app_thread` (keep in sync).
 
         Adds request start/finish events and routes each block through
         the stack's ``*_obs`` entry points with a reusable
@@ -509,8 +428,6 @@ class System:
         rec = obs.recorder
         collector = obs.breakdown_collector
         record_span = collector.record if collector is not None else None
-        warmup_records = trace.warmup_records
-        record_blocks = trace.record_blocks
         read_obs = getattr(stack, "read_block_obs", None)
         write_obs = getattr(stack, "write_block_obs", None)
         read_block = stack.read_block
@@ -524,54 +441,54 @@ class System:
         start_kind = EventKind.REQUEST_START
         finish_kind = EventKind.REQUEST_FINISH
         span = Span()
-        for index, record in items:
-            measured = index >= warmup_records
-            is_write = record.is_write
-            request_start = sim.now
-            if rec is not None:
-                rec.emit(
-                    request_start,
-                    start_kind,
-                    host_id,
-                    info={
-                        "thread": thread_id,
-                        "op": "w" if is_write else "r",
-                        "blocks": record.nblocks,
-                    },
-                )
-            for block in record_blocks(record):
-                span.reset()
-                block_start = sim.now
-                if is_write:
-                    if write_obs is not None:
-                        yield from write_obs(block, span, measured=measured)
+        for measured, rows in ((False, warmup_rows), (True, measured_rows)):
+            for op, start, nb in rows:
+                is_write = op != 0
+                request_start = sim.now
+                if rec is not None:
+                    rec.emit(
+                        request_start,
+                        start_kind,
+                        host_id,
+                        info={
+                            "thread": thread_id,
+                            "op": "w" if is_write else "r",
+                            "blocks": nb,
+                        },
+                    )
+                for block in range(start, start + nb):
+                    span.reset()
+                    block_start = sim.now
+                    if is_write:
+                        if write_obs is not None:
+                            yield from write_obs(block, span, measured=measured)
+                        else:
+                            yield from write_block(block, measured=measured)
+                            span.other += sim.now - block_start
                     else:
-                        yield from write_block(block, measured=measured)
-                        span.other += sim.now - block_start
-                else:
-                    if read_obs is not None:
-                        yield from read_obs(block, span)
-                    else:
-                        yield from read_block(block)
-                        span.other += sim.now - block_start
+                        if read_obs is not None:
+                            yield from read_obs(block, span)
+                        else:
+                            yield from read_block(block)
+                            span.other += sim.now - block_start
+                    if measured:
+                        now = sim.now
+                        latency = now - block_start
+                        record_fleet_block(is_write, latency, at_ns=now)
+                        record_host_block(is_write, latency)
+                        if record_span is not None:
+                            record_span(is_write, latency, span)
                 if measured:
-                    now = sim.now
-                    latency = now - block_start
-                    record_fleet_block(is_write, latency, at_ns=now)
-                    record_host_block(is_write, latency)
-                    if record_span is not None:
-                        record_span(is_write, latency, span)
-            if measured:
-                record_request(is_write, sim.now - request_start)
-            if rec is not None:
-                rec.emit(
-                    sim.now,
-                    finish_kind,
-                    host_id,
-                    dur=sim.now - request_start,
-                    info={"thread": thread_id},
-                )
-            record_completed(record.nblocks)
+                    record_request(is_write, sim.now - request_start)
+                if rec is not None:
+                    rec.emit(
+                        sim.now,
+                        finish_kind,
+                        host_id,
+                        dur=sim.now - request_start,
+                        info={"thread": thread_id},
+                    )
+                record_completed(nb)
         self._active_threads -= 1
 
     # --- reporting inputs ----------------------------------------------------

@@ -1,6 +1,6 @@
 """The compiled simulation kernel: table-driven dispatch, no coroutines.
 
-The object kernel runs each (host, thread) application stream and every
+The generator kernel runs each (host, thread) application stream and every
 cache-stack I/O path as a chain of nested generators; every resume
 traverses the whole ``yield from`` delegation chain and every subroutine
 return raises ``StopIteration``.  With compiled traces the *data* path
@@ -15,17 +15,17 @@ explicit stack of *frames* (small lists whose slot 0 is an integer
 state code), and one closure per host executes frames in a single
 ``while`` loop branching on those codes.  No generators, no ``Process``
 objects, no heap entries for straight-line service delays — a delay
-that the object kernel would fast-forward is fast-forwarded *inside*
+that the generator kernel would fast-forward is fast-forwarded *inside*
 the dispatch loop, and only genuinely concurrent waits (wire queueing,
 filer contention, syncer periods, delayed flushes) touch the event
 heap — syncer periods once per period, not once per host.
 
 Bit-identicality contract (the drift gates enforce it):
 
-* Every heap push in the object kernel corresponds to exactly one heap
+* Every heap push in the generator kernel corresponds to exactly one heap
   push here, at the same simulated time, in the same order, so ties
   break identically.  The one exception is the periodic syncers: the
-  object kernel's same-period syncers wake as one contiguous run, which
+  generator kernel's same-period syncers wake as one contiguous run, which
   a single cohort task replays (see :func:`_syncer_cohorts`), so heap
   entries keep their relative order but not their sequence numbers.
 * Every stateful call (store lookups, RNG draws, packet charges,
@@ -42,7 +42,7 @@ the same ``_resume_soon`` wakeup surface, so completions and resources
 treat both alike.
 
 Eligibility is conservative (see :func:`kernel_eligible`); ineligible
-configurations fall back to the object kernel, which remains the
+configurations fall back to the generator kernel, which remains the
 reference implementation.
 """
 
@@ -209,7 +209,7 @@ def kernel_eligible(system) -> bool:
     observability hooks, restart/recovery (a time-varying
     ``flash_online_at``), latency timelines, channel-limited flash
     devices (generator queueing), the exclusive/migration architecture
-    — falls back to the object kernel.
+    — falls back to the generator kernel.
     """
     if os.environ.get(COMPILE_KERNEL_ENV, "").strip().lower() in _FALSEY:
         return False
@@ -237,7 +237,7 @@ def kernel_eligible(system) -> bool:
 
 
 def replay_compiled_kernel(system, trace) -> None:
-    """Compiled-kernel twin of ``System._replay_compiled`` (keep in
+    """Compiled-kernel twin of ``System.replay`` (keep in
     sync): same warmup accounting, bit-identical results — but the
     application threads and cache-stack I/O paths run as table-driven
     tasks instead of generators.  Issuers and cleaning controllers are
@@ -279,7 +279,7 @@ def replay_compiled_kernel(system, trace) -> None:
         executor_for(host.host_id).start_syncers(join_syncer)
     sim = system.sim
     heap = sim._heap
-    # Same rationale as the object compiled path: the run's allocations
+    # Same rationale as System.replay: the run's allocations
     # are acyclic, so pause the cycle collector for the duration.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
@@ -288,7 +288,7 @@ def replay_compiled_kernel(system, trace) -> None:
     try:
         # The mixed dispatch loop: tasks execute through their host's
         # closure; generator processes (cleaning controllers,
-        # invalidation packets) step exactly as the object kernel's
+        # invalidation packets) step exactly as the generator kernel's
         # bounded-run path would.  Heap tuples never compare beyond the
         # sequence number, so the two kinds coexist in one heap.
         while heap:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Sequence
 
+from repro import policies as policy_registry
 from repro._units import GB, MB, TB
 from repro.core.config import SimConfig
 from repro.core.policies import WritebackPolicy
@@ -125,8 +126,8 @@ def baseline_config(
 
     Both the sizes *and* the default one-second periodic RAM syncer are
     scaled (see :func:`scaled_policy`); explicit ``ram_policy``/
-    ``flash_policy`` overrides are scaled too, so experiment code can
-    pass the paper's nominal policies.
+    ``flash_policy``/``flash_cleaning`` overrides are scaled too, so
+    experiment code can pass the paper's nominal policies.
     """
     if "ram_policy" in overrides:
         overrides["ram_policy"] = scaled_policy(overrides["ram_policy"], scale)
@@ -134,6 +135,10 @@ def baseline_config(
         overrides["ram_policy"] = scaled_policy(WritebackPolicy.periodic(1), scale)
     if "flash_policy" in overrides:
         overrides["flash_policy"] = scaled_policy(overrides["flash_policy"], scale)
+    if "flash_cleaning" in overrides:
+        overrides["flash_cleaning"] = policy_registry.resolve(
+            "cleaning", overrides["flash_cleaning"]
+        ).scaled(scale)
     return SimConfig(
         ram_bytes=scaled_gb(ram_gb, scale),
         flash_bytes=scaled_gb(flash_gb, scale) if flash_gb > 0 else 0,

@@ -62,7 +62,7 @@ import pickle
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -258,20 +258,10 @@ def trace_fingerprint(trace: Union[Trace, CompiledTrace, ChunkedCompiledTrace]) 
 
     Computed over the packed columnar form's flat buffers — a handful
     of digest updates instead of a per-record ``struct.pack`` loop —
-    and memoized on the trace object: experiment sweeps reuse one trace
-    across dozens of points, and hashing a large trace repeatedly would
-    rival the simulation cost.  The compiled form this builds is itself
-    memoized, so fingerprinting a trace that is about to fan out is
-    free work, not extra work.
+    and memoized on the compiled trace, which :func:`compile_trace`
+    itself memoizes per ``Trace`` object.
     """
-    if isinstance(trace, (CompiledTrace, ChunkedCompiledTrace)):
-        return trace.fingerprint
-    cached = trace.__dict__.get("_sweep_fingerprint")
-    if cached is not None:
-        return cached
-    fingerprint = compile_trace(trace).fingerprint
-    trace.__dict__["_sweep_fingerprint"] = fingerprint
-    return fingerprint
+    return compile_trace(trace).fingerprint
 
 
 def _point_fingerprint(trace_print: str, point: SweepPoint) -> str:
@@ -487,7 +477,14 @@ def run_sweep_points(
     isolation (benchmarking cold-start costs, tests that must not leak
     workers) at the price of re-paying worker startup.
     """
-    points = list(points)
+    # In-memory traces compile once here (memoized per trace object),
+    # so every later stage sees only compiled forms or paths.
+    points = [
+        replace(point, trace=compile_trace(point.trace))
+        if isinstance(point.trace, Trace)
+        else point
+        for point in points
+    ]
     n_workers = _normalize_workers(workers) if workers is not None else default_workers()
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     if cache_path is not None and cache_path.exists() and not cache_path.is_dir():
@@ -544,10 +541,8 @@ def run_sweep_points(
         key = ""
         if cache_path is not None:
             trace_print = (
-                trace_fingerprint(point.trace)
-                if isinstance(
-                    point.trace, (Trace, CompiledTrace, ChunkedCompiledTrace)
-                )
+                point.trace.fingerprint
+                if isinstance(point.trace, (CompiledTrace, ChunkedCompiledTrace))
                 else _file_fingerprint(Path(point.trace))
             )
             key = _point_fingerprint(trace_print, point)
@@ -655,7 +650,7 @@ def _execute_serial(
     for index, _key in pending:
         point = points[index]
         trace = point.trace
-        if not isinstance(trace, (Trace, CompiledTrace, ChunkedCompiledTrace)):
+        if not isinstance(trace, (CompiledTrace, ChunkedCompiledTrace)):
             trace = _load_trace_ref(("path", str(trace)))
         started = time.perf_counter()
         result = run_simulation(trace, point.config, **point.run_options())
@@ -923,8 +918,8 @@ def _shm_segment_name(tag: str) -> str:
     return "repro-ct-%s-%d-%d" % (tag, os.getpid(), _shm_counter)
 
 
-def _shm_export(trace: Union[Trace, CompiledTrace], segments: List) -> Optional[TraceRef]:
-    """Publish a trace's compiled wire image in a shared-memory segment.
+def _shm_export(trace: CompiledTrace, segments: List) -> Optional[TraceRef]:
+    """Publish a compiled trace's wire image in a shared-memory segment.
 
     Appends the created segment to ``segments`` (the caller's cleanup
     list) and returns its ref, or ``None`` when the export fails and
@@ -932,9 +927,8 @@ def _shm_export(trace: Union[Trace, CompiledTrace], segments: List) -> Optional[
     """
     from multiprocessing import shared_memory
 
-    compiled = trace if isinstance(trace, CompiledTrace) else compile_trace(trace)
-    payload = compiled.to_bytes()
-    name = _shm_segment_name(compiled.fingerprint[:12])
+    payload = trace.to_bytes()
+    name = _shm_segment_name(trace.fingerprint[:12])
     try:
         segment = shared_memory.SharedMemory(name=name, create=True, size=len(payload))
     except OSError:
@@ -962,9 +956,9 @@ def _trace_ref(
     """
     if isinstance(trace, ChunkedCompiledTrace):
         return ("path", str(trace.spool_dir))
-    if not isinstance(trace, (Trace, CompiledTrace)):
+    if not isinstance(trace, CompiledTrace):
         return ("path", str(trace))
-    fingerprint = trace_fingerprint(trace)
+    fingerprint = trace.fingerprint
     ref = refs.get(fingerprint)
     if ref is None:
         ref = _shm_export(trace, segments) if _shm_available() else None
@@ -992,18 +986,16 @@ def _spool_directory(cache_path: Optional[Path]) -> Tuple[Path, bool]:
     return Path(tempfile.mkdtemp(prefix="repro-sweep-")), True
 
 
-def _spool_trace(trace: TraceLike, spool_dir: Path) -> str:
-    """Materialize a trace as a file and return its path.
+def _spool_trace(trace: CompiledTrace, spool_dir: Path) -> str:
+    """Materialize a compiled trace as a file and return its path.
 
     Pickle is used rather than the text/binary trace formats because the
-    spool must be a *lossless* image of the in-memory object — bit-equal
+    spool must be a *lossless* image of the in-memory trace — bit-equal
     parallel/serial results depend on workers replaying exactly what the
     caller built.  (Compiled traces pickle via their wire format, which
     round-trips exactly.)
     """
-    if not isinstance(trace, (Trace, CompiledTrace)):
-        return str(trace)
-    path = spool_dir / ("%s.pkl" % trace_fingerprint(trace))
+    path = spool_dir / ("%s.pkl" % trace.fingerprint)
     if not path.exists():
         _atomic_write(path, pickle.dumps(trace, protocol=4))
     return str(path)

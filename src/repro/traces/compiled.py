@@ -28,15 +28,13 @@ recomputes the file-base flattening.  The payoff:
   into the shared segment — see :mod:`repro.sweep`);
 * :meth:`issuer_plan` hands the replay engine per-thread row lists with
   the warmup boundary pre-split, so the hot loop touches nothing but
-  local ints (see ``System._thread_process_compiled``).
+  local ints (see ``System.replay``).
 
-Compilation is content-preserving and replay over a compiled trace is
-bit-identical to replay over the object form — enforced by
-``tests/test_traces_compiled.py`` and the signature-drift gate in
-``benchmarks/sweep_speedup.py``.
-
-Use :func:`compile_trace` to compile (memoized per ``Trace`` object);
-:func:`repro.run_simulation` compiles large traces automatically.
+The compiled form is the only replay input: ``System.replay`` compiles
+a :class:`Trace` on entry with :func:`compile_trace` (memoized per
+``Trace`` object).  Compilation is content-preserving — enforced by
+``tests/test_traces_compiled.py`` and the pinned result signatures of
+``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -203,8 +201,8 @@ class CompiledTrace:
         return sum(self.nblocks[: self.warmup_records])
 
     def to_trace(self) -> Trace:
-        """Materialize back into the object representation (used by the
-        instrumented/observability replay path, which needs records)."""
+        """Materialize back into the object representation (tests and
+        tooling; replay never needs records)."""
         records = [
             TraceRecord(
                 TraceOp.WRITE if op else TraceOp.READ,
@@ -438,10 +436,11 @@ class CompiledTrace:
 
 def compile_trace(trace: Trace) -> CompiledTrace:
     """Pack a :class:`Trace` into its columnar form, memoized per trace
-    object (sweeps reuse one trace across dozens of points; like the
-    fingerprint memo, this assumes traces are not mutated after use).
+    object (sweeps reuse one trace across dozens of points; this
+    assumes traces are not mutated after use).  Already-compiled forms
+    (``CompiledTrace``, ``ChunkedCompiledTrace``) pass through unchanged.
     """
-    if isinstance(trace, CompiledTrace):
+    if not isinstance(trace, Trace):
         return trace
     cached = trace.__dict__.get("_compiled_trace")
     if cached is not None:

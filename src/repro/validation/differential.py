@@ -574,7 +574,10 @@ def check_compiled_kernel_identity(
     for label, overrides in (
         ("admission-probationary", {"flash_admission": "probationary:2"}),
         ("admission-budget", {"flash_admission": "budget:8M"}),
-        ("cleaning-alru", {"flash_cleaning": "alru:30"}),
+        # Flash policy n leaves the aged cleaner the only flusher.
+        ("cleaning-alru", {
+            "flash_cleaning": "alru:30", "flash_policy": WritebackPolicy.none(),
+        }),
         ("cleaning-acp", {"flash_cleaning": "acp:0.5:0.25"}),
     ):
         compare(
@@ -625,7 +628,7 @@ def check_compiled_kernel_identity(
         ("alru-8h", fleet_trace, {
             "ram_policy": tied,
             "flash_policy": parse("n"),
-            "flash_cleaning": AgedClean(idle_ns=0, period_ns=tied.period_ns).scaled(scale),
+            "flash_cleaning": AgedClean(idle_ns=0, period_ns=tied.period_ns),
         }),
         ("lookaside-4h", multihost_trace,
          {"architecture": Architecture.LOOKASIDE, "flash_policy": parse("p1")}),

@@ -254,6 +254,26 @@ class TestConfigIntegration:
         assert config.flash_cleaning == AgedClean(idle_ns=5 * SECOND)
         assert config.ram_policy.label == "s"
 
+    def test_baseline_config_scales_cleaning(self):
+        """A scaled trace finishes in scale-times less simulated time, so
+        the aged cleaner's idle threshold and period shrink with it: on
+        a 2-host scaled baseline it cleans on both hosts, and no
+        unscaled one-second wake stretches the run."""
+        from repro.core.machine import System
+        from repro.experiments.common import baseline_config, baseline_trace
+
+        scale = 16384
+        config = baseline_config(
+            scale=scale,
+            flash_cleaning="alru:30",
+            flash_policy=WritebackPolicy.none(),
+        )
+        assert config.flash_cleaning == AgedClean(idle_ns=30 * SECOND).scaled(scale)
+        system = System(config, 2)
+        system.replay(baseline_trace(n_hosts=2, scale=scale, volume_multiple=2.0))
+        assert all(host._cleaning.flushes > 0 for host in system.hosts)
+        assert system.sim.now < SECOND
+
     def test_config_pickles_with_policies(self):
         config = SimConfig(
             flash_admission="probationary:2", flash_cleaning="acp:0.5"

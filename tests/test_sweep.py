@@ -206,7 +206,7 @@ class TestProgress:
 class TestFingerprints:
     def test_trace_fingerprint_stable_across_pickle(self, small_trace):
         clone = pickle.loads(pickle.dumps(small_trace))
-        clone.__dict__.pop("_sweep_fingerprint", None)
+        clone.__dict__.pop("_compiled_trace", None)
         assert trace_fingerprint(clone) == trace_fingerprint(small_trace)
 
     def test_different_traces_differ(self, small_trace):

@@ -5,8 +5,10 @@ import pickle
 
 import pytest
 
+from repro.core.architectures import Architecture
 from repro.core.simulator import run_simulation
 from repro.errors import ConfigError, TraceFormatError
+from repro.obs import Observation
 from repro.tracegen import generate_trace, generate_trace_chunked
 from repro.traces.chunked import (
     CHUNK_RECORDS_ENV,
@@ -116,6 +118,21 @@ class TestRoundTrip:
         materialized = run_simulation(compile_trace(trace), config)
         streamed = run_simulation(chunked, config)
         assert full_signature(streamed) == full_signature(materialized)
+
+    @pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.value)
+    def test_traced_replay_never_materializes(self, chunked_pair, monkeypatch, arch):
+        _trace, chunked = chunked_pair
+        config = tiny_config(architecture=arch)
+        untraced = full_signature(run_simulation(chunked, config))
+
+        def refuse(_self):
+            raise AssertionError("traced replay materialized the chunked trace")
+
+        monkeypatch.setattr(ChunkedCompiledTrace, "to_trace", refuse)
+        obs = Observation()
+        traced = run_simulation(chunked, config, obs=obs)
+        assert full_signature(traced) == untraced
+        assert obs.events
 
 
 class TestWarmupSkip:
